@@ -12,6 +12,9 @@ process-wide simulation counters snapshotted around the run:
 From those it derives ``events_per_sec`` (host throughput of the event
 loop) and ``ns_per_probe`` (host nanoseconds per probe fire), the two
 numbers the regression gate compares against the committed baseline.
+
+Every scenario first runs once untimed, so cold imports and first-call
+compiles land outside the timed window.
 """
 
 from __future__ import annotations
@@ -66,11 +69,13 @@ def run_scenario(
     is the standard defense against scheduler and allocator jitter --
     the minimum is the run with the least interference, so it is the
     most reproducible point of the distribution (see
-    docs/BENCHMARKS.md)."""
+    docs/BENCHMARKS.md).  One untimed warm-up run comes first: a cold
+    run would also time lazy imports and first-call compiles."""
     check_preset(preset)
     if repeat < 1:
         raise HarnessError(f"repeat must be >= 1, got {repeat}")
     run = scenario.load()
+    run(preset)  # warm-up, untimed
     best: Optional[ScenarioResult] = None
     for _ in range(repeat):
         # Keep collector pauses out of the timed window: collect what

@@ -26,6 +26,10 @@ the *inner* packet (the paper: "the tracing scripts need to strip the
 VXLAN header off to read the skb information").  The parsed fields then
 refer to the inner five-tuple while data/data_end still cover the bytes
 visible at the hook.
+
+The packet bytes are a :class:`PacketImage`: the context's ``len`` and
+``data_end`` come from the packet's wire length, and the image is
+serialized only when a program first touches the packet region.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import struct
 from typing import Optional, Tuple
 
 from repro.ebpf.memory import PACKET_REGION_BASE
-from repro.net.packet import IPPROTO_TCP, IPPROTO_UDP, Packet
+from repro.net.packet import Packet
 
 CTX_SIZE = 56
 
@@ -53,58 +57,95 @@ OFF_DATA = 40
 OFF_DATA_END = 48
 
 
+# The whole context in one pack: the u16/u8 fields are followed by the
+# padding that puts the next field at its fixed offset.
+_CTX_STRUCT = struct.Struct("<IH2xIIIIHHB3xIIQQ")
+
+
+class PacketImage:
+    """The packet region of one program run, serialized on first touch.
+
+    Most runs never read packet bytes: a filter that rejects the packet
+    reads only context fields.  So the image knows its length up front
+    (``len()``, from :attr:`Packet.total_length`) and runs
+    :meth:`Packet.to_bytes` only when :meth:`materialize` is first
+    called -- by the VM when a load, a store or a helper touches the
+    packet region.  Serializing also fixes up the header length fields.
+    """
+
+    __slots__ = ("packet", "length", "data")
+
+    def __init__(self, packet: Packet, length: int):
+        self.packet = packet
+        self.length = length
+        self.data: Optional[bytearray] = None
+
+    def __len__(self) -> int:
+        return self.length
+
+    def materialize(self) -> bytearray:
+        """The wire image as a mutable buffer (serialized once)."""
+        data = self.data
+        if data is None:
+            data = self.data = bytearray(self.packet.to_bytes())
+        return data
+
+    def fresh(self) -> "PacketImage":
+        """A copy in the same state: unserialized, or holding a copy of
+        the bytes (the shadow tier's oracle run gets one)."""
+        copy = PacketImage(self.packet, self.length)
+        if self.data is not None:
+            copy.data = bytearray(self.data)
+        return copy
+
+
 def build_skb_context(
     packet: Packet,
     ifindex: int = 0,
     cpu: int = 0,
     hook_id: int = 0,
     use_inner: bool = False,
-    wire_bytes: Optional[bytes] = None,
-) -> Tuple[bytearray, bytearray]:
-    """Build (ctx, packet_bytes) for one program invocation.
+) -> Tuple[bytearray, PacketImage]:
+    """Build (ctx, packet image) for one program invocation.
 
     ``use_inner`` fills the parsed fields from the innermost packet
-    (after notional VXLAN decap).  ``wire_bytes`` lets callers reuse an
-    already-serialized image instead of re-serializing per probe.
+    (after notional VXLAN decap).  ``len`` and ``data_end`` come from
+    the packet's wire length; the image serializes only if the program
+    touches the packet region.
     """
-    logical = packet.innermost if use_inner else packet
-    data = bytearray(wire_bytes if wire_bytes is not None else packet.to_bytes())
-
-    ctx = bytearray(CTX_SIZE)
-    struct.pack_into("<I", ctx, OFF_LEN, len(data))
-    eth = logical.eth
-    struct.pack_into("<H", ctx, OFF_PROTOCOL, eth.ethertype if eth else 0)
-    struct.pack_into("<I", ctx, OFF_IFINDEX, ifindex)
-    struct.pack_into("<I", ctx, OFF_RX_CPU, cpu)
-
-    ip = logical.ip
-    if ip is not None:
-        struct.pack_into("<I", ctx, OFF_SRC_IP, ip.src.value)
-        struct.pack_into("<I", ctx, OFF_DST_IP, ip.dst.value)
-        struct.pack_into("<B", ctx, OFF_IP_PROTO, ip.protocol)
-
-    payload_offset = 0
-    if logical.tcp is not None:
-        struct.pack_into("<H", ctx, OFF_SRC_PORT, logical.tcp.src_port)
-        struct.pack_into("<H", ctx, OFF_DST_PORT, logical.tcp.dst_port)
-    elif logical.udp is not None:
-        struct.pack_into("<H", ctx, OFF_SRC_PORT, logical.udp.src_port)
-        struct.pack_into("<H", ctx, OFF_DST_PORT, logical.udp.dst_port)
-
+    length = packet.total_length
+    logical = packet
     # Where the L4 payload of the *logical* packet starts inside `data`.
     # For encapsulated packets the outer headers precede the inner image.
-    outer_header_len = 0
-    walk = packet
-    while walk is not logical:
-        outer_header_len += walk.header_length
-        walk = walk.payload  # type: ignore[assignment]  # guarded by innermost
-    payload_offset = outer_header_len + logical.header_length
-    struct.pack_into("<I", ctx, OFF_PAYLOAD_OFF, payload_offset)
+    payload_offset = 0
+    if use_inner:
+        while isinstance(logical.payload, Packet):
+            payload_offset += logical.header_length
+            logical = logical.payload
+    payload_offset += logical.header_length
 
-    struct.pack_into("<I", ctx, OFF_HOOK_ID, hook_id)
-    struct.pack_into("<Q", ctx, OFF_DATA, PACKET_REGION_BASE)
-    struct.pack_into("<Q", ctx, OFF_DATA_END, PACKET_REGION_BASE + len(data))
-    return ctx, data
+    eth = logical.eth
+    ip = logical.ip
+    l4 = logical.tcp or logical.udp
+    ctx = bytearray(CTX_SIZE)
+    _CTX_STRUCT.pack_into(
+        ctx,
+        0,
+        length,
+        eth.ethertype if eth is not None else 0,
+        ifindex,
+        cpu,
+        ip.src.value if ip is not None else 0,
+        ip.dst.value if ip is not None else 0,
+        l4.src_port if l4 is not None else 0,
+        l4.dst_port if l4 is not None else 0,
+        ip.protocol if ip is not None else 0,
+        hook_id,
+        payload_offset,
+        PACKET_REGION_BASE,
+        PACKET_REGION_BASE + length,
+    )
+    return ctx, PacketImage(packet, length)
 
 
 def build_empty_context(
@@ -113,18 +154,11 @@ def build_empty_context(
     """A context for probe points with no packet: all packet fields are
     zero, data == data_end (an empty, valid region)."""
     ctx = bytearray(CTX_SIZE)
-    struct.pack_into("<I", ctx, OFF_IFINDEX, ifindex)
-    struct.pack_into("<I", ctx, OFF_RX_CPU, cpu)
-    struct.pack_into("<I", ctx, OFF_HOOK_ID, hook_id)
-    struct.pack_into("<Q", ctx, OFF_DATA, PACKET_REGION_BASE)
-    struct.pack_into("<Q", ctx, OFF_DATA_END, PACKET_REGION_BASE)
+    base = PACKET_REGION_BASE
+    _CTX_STRUCT.pack_into(ctx, 0, 0, 0, ifindex, cpu, 0, 0, 0, 0, 0, hook_id, 0, base, base)
     return ctx, bytearray(0)
 
 
 def context_field(ctx: bytearray, offset: int, size: int) -> int:
     """Read a context field from the byte image (user-space debugging)."""
     return int.from_bytes(ctx[offset : offset + size], "little")
-
-
-_IS_TCP = IPPROTO_TCP
-_IS_UDP = IPPROTO_UDP

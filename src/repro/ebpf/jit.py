@@ -147,6 +147,7 @@ def compile_program(
         body.append("_mem = _st")
         body.append("_cl = len(_ctx)")
         body.append("_pl = -1 if _pkt is None else len(_pkt)")
+        body.append("_pb = _st.packet")
     if multi:
         body.append("_ex = 0")
     body.append("r0 = r2 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = 0")
@@ -378,9 +379,12 @@ def _addr_lines(pointer: str, offset: int) -> Tuple[List[str], str]:
 def _region_chain(addr: str, size: int, hit, fallback: str) -> List[str]:
     """Bounds-checked fast paths for the three fixed regions.
 
-    Map-value buffers (dynamic regions) and faulting accesses fall back
-    to :meth:`repro.ebpf.memory.Memory` lookup, which raises the same
-    :class:`~repro.ebpf.memory.MemoryFault` the interpreter would.
+    The packet bounds come from the packet's length, so a lazy packet
+    image is serialized (``_st.packet_buffer()``) only on the first
+    access that hits it.  Map-value buffers (dynamic regions) and
+    faulting accesses fall back to :meth:`repro.ebpf.memory.Memory`
+    lookup, which raises the same :class:`~repro.ebpf.memory.MemoryFault`
+    the interpreter would.
     """
     return [
         f"_o = {addr} - {CTX_REGION_BASE:#x}",
@@ -389,7 +393,9 @@ def _region_chain(addr: str, size: int, hit, fallback: str) -> List[str]:
         "else:",
         f"    _o = {addr} - {PACKET_REGION_BASE:#x}",
         f"    if 0 <= _o <= _pl - {size}:",
-        f"        {hit('_pkt')}",
+        "        if _pb is None:",
+        "            _pb = _st.packet_buffer()",
+        f"        {hit('_pb')}",
         "    else:",
         f"        _o = {addr} - {STACK_REGION_BASE:#x}",
         f"        if 0 <= _o <= {isa.STACK_SIZE - size}:",

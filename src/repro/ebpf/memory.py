@@ -64,6 +64,11 @@ class Memory:
         for base, buffer, _name in self._regions:
             if base <= address and address + size <= base + len(buffer):
                 return buffer, address - base
+        return self._unmapped(address, size)
+
+    def _unmapped(self, address: int, size: int) -> Tuple[bytearray, int]:
+        """An access no registered region covers: a fault, unless a
+        subclass maps a region on demand and returns ``(buffer, offset)``."""
         raise MemoryFault(f"access of {size} bytes at {address:#x} hits no region")
 
     def load(self, address: int, size: int) -> int:

@@ -179,23 +179,26 @@ class CallbackAttachment(Attachment):
 class HookRegistry:
     """Per-kernel registry of hooks and their attachments.
 
-    ``fire`` is called by the simulated stack at every instrumentable
-    point; it is cheap when nothing is attached (a counter increment),
-    which models how an un-probed kernel function costs nothing extra.
+    An un-probed kernel function costs nothing extra: the simulated
+    stack looks its hook up in ``attached`` first and, when nothing is
+    attached, only bumps ``fire_counts`` -- no :class:`ProbeEvent` is
+    built and ``fire`` is not called.  ``fire_counts`` therefore counts
+    every fire, attached or not, while ``fire`` sees only the attached
+    ones.  ``attached`` is read-only outside this class.
     """
 
     def __init__(self, node_name: str = ""):
         self.node_name = node_name
-        self._attachments: Dict[str, List[Attachment]] = {}
+        self.attached: Dict[str, List[Attachment]] = {}
         self.fire_counts: Dict[str, int] = {}
 
     def attach(self, hook_name: str, attachment: Attachment) -> Attachment:
-        self._attachments.setdefault(hook_name, []).append(attachment)
+        self.attached.setdefault(hook_name, []).append(attachment)
         return attachment
 
     def detach(self, hook_name: str, attachment: Attachment) -> bool:
         try:
-            self._attachments.get(hook_name, []).remove(attachment)
+            self.attached.get(hook_name, []).remove(attachment)
             return True
         except ValueError:
             return False
@@ -203,23 +206,23 @@ class HookRegistry:
     def detach_all(self, hook_name: Optional[str] = None) -> int:
         """Detach everything (or everything on one hook); returns count."""
         if hook_name is not None:
-            removed = len(self._attachments.get(hook_name, []))
-            self._attachments[hook_name] = []
+            removed = len(self.attached.get(hook_name, []))
+            self.attached[hook_name] = []
             return removed
-        removed = sum(len(v) for v in self._attachments.values())
-        self._attachments.clear()
+        removed = sum(len(v) for v in self.attached.values())
+        self.attached.clear()
         return removed
 
     def attachments(self, hook_name: str) -> List[Attachment]:
-        return list(self._attachments.get(hook_name, []))
+        return list(self.attached.get(hook_name, []))
 
     def has_attachments(self, hook_name: str) -> bool:
-        return bool(self._attachments.get(hook_name))
+        return bool(self.attached.get(hook_name))
 
     def fire(self, event: ProbeEvent) -> int:
         """Fire a hook; returns total handler cost in nanoseconds."""
         self.fire_counts[event.hook] = self.fire_counts.get(event.hook, 0) + 1
-        handlers = self._attachments.get(event.hook)
+        handlers = self.attached.get(event.hook)
         if not handlers:
             return 0
         total_cost = 0
@@ -231,5 +234,5 @@ class HookRegistry:
         return self.fire_counts.get(hook_name, 0)
 
     def __repr__(self) -> str:
-        active = {k: len(v) for k, v in self._attachments.items() if v}
+        active = {k: len(v) for k, v in self.attached.items() if v}
         return f"<HookRegistry {self.node_name!r} active={active}>"

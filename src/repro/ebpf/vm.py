@@ -28,9 +28,10 @@ every externally visible number is byte-identical across tiers.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.ebpf import isa
+from repro.ebpf.context import PacketImage
 from repro.ebpf.helpers import HELPERS, MAP_PTR_BASE, HelperError
 from repro.ebpf.isa import Instruction
 from repro.ebpf.jit import CompiledProgram, compile_program
@@ -46,6 +47,9 @@ from repro.ebpf.verifier import verify
 
 U64 = 0xFFFFFFFFFFFFFFFF
 U32 = 0xFFFFFFFF
+
+# What a run maps at the packet region: bytes up front, or a lazy image.
+PacketData = Union[bytearray, PacketImage]
 
 # Simulated per-instruction execution charge.
 INTERPRETER_NS_PER_INSN = 2.0
@@ -169,21 +173,56 @@ class VMState(Memory):
     the compiled tier materializes the final register file in one
     writeback at EXIT, and the interpreter builds its zeroed file when
     it starts.
+
+    The packet region is either mapped up front (``packet`` holds the
+    buffer) or, for a :class:`~repro.ebpf.context.PacketImage`, mapped
+    on the first access that falls inside it: :meth:`packet_buffer`
+    serializes the image then.  Runs that never touch the packet never
+    serialize it.
     """
 
-    __slots__ = ("regs", "env", "helper_calls", "helper_cost_ns")
+    __slots__ = ("regs", "env", "helper_calls", "helper_cost_ns", "image", "packet")
 
-    def __init__(self, regions: List[Tuple[int, bytearray, str]], env: ExecutionEnv):
+    def __init__(
+        self,
+        regions: List[Tuple[int, bytearray, str]],
+        env: ExecutionEnv,
+        packet_bytes: Optional[PacketData] = None,
+    ):
         self._regions = regions
         self._next_dynamic_base = MAP_VALUE_REGION_BASE
         self.regs: Optional[List[int]] = None
         self.env = env
         self.helper_calls: Dict[str, int] = {}
         self.helper_cost_ns = 0
+        self.image: Optional[PacketImage] = None
+        self.packet = None
+        if isinstance(packet_bytes, PacketImage):
+            self.image = packet_bytes
+        elif packet_bytes is not None:
+            self.packet = packet_bytes
+            regions.append((PACKET_REGION_BASE, packet_bytes, "packet"))
 
     @property
     def memory(self) -> Memory:
         return self
+
+    def packet_buffer(self) -> bytearray:
+        """The packet region's buffer, serializing a lazy image and
+        mapping it on the first call."""
+        data = self.packet
+        if data is None:
+            data = self.packet = self.image.materialize()
+            self._regions.append((PACKET_REGION_BASE, data, "packet"))
+        return data
+
+    def _unmapped(self, address: int, size: int) -> Tuple[bytearray, int]:
+        image = self.image
+        if self.packet is None and image is not None:
+            offset = address - PACKET_REGION_BASE
+            if 0 <= offset <= image.length - size:
+                return self.packet_buffer(), offset
+        return Memory._unmapped(self, address, size)
 
 
 class ExecResult(NamedTuple):
@@ -206,6 +245,14 @@ def _to_signed64(value: int) -> int:
 def _bswap(value: int, width_bits: int) -> int:
     nbytes = width_bits // 8
     return int.from_bytes((value & ((1 << width_bits) - 1)).to_bytes(nbytes, "little"), "big")
+
+
+def _packet_snapshot(packet_bytes: Optional[PacketData]) -> Optional[bytes]:
+    """Packet memory after a run; ``None`` for no packet or an image the
+    run never serialized."""
+    if isinstance(packet_bytes, PacketImage):
+        packet_bytes = packet_bytes.data
+    return None if packet_bytes is None else bytes(packet_bytes)
 
 
 def _replay(values: List[int], what: str) -> Callable[[], int]:
@@ -349,11 +396,13 @@ class BPFProgram:
         self,
         env: ExecutionEnv,
         ctx_bytes: bytearray,
-        packet_bytes: Optional[bytearray] = None,
+        packet_bytes: Optional[PacketData] = None,
     ) -> ExecResult:
         """Execute once.  ``ctx_bytes`` is mapped at the context base and
         handed to the program in R1; ``packet_bytes`` (if any) is mapped
-        where the context's data/data_end pointers expect it."""
+        where the context's data/data_end pointers expect it -- a
+        :class:`~repro.ebpf.context.PacketImage` only when the program
+        first touches it."""
         native = self._native
         if native is None or self.shadow:
             if not self.loaded:
@@ -365,9 +414,7 @@ class BPFProgram:
         # Hot path: the compiled tier, inlined (probes take this per packet).
         stack = bytearray(512)
         regions = [(STACK_REGION_BASE, stack, "stack"), (CTX_REGION_BASE, ctx_bytes, "ctx")]
-        if packet_bytes is not None:
-            regions.append((PACKET_REGION_BASE, packet_bytes, "packet"))
-        state = VMState(regions, env)
+        state = VMState(regions, env, packet_bytes)
         try:
             executed = native(state, stack, ctx_bytes, packet_bytes)
         except HelperError as exc:
@@ -388,15 +435,13 @@ class BPFProgram:
         self,
         env: ExecutionEnv,
         ctx_bytes: bytearray,
-        packet_bytes: Optional[bytearray],
+        packet_bytes: Optional[PacketData],
         native: Optional[bool] = None,
     ) -> Tuple[VMState, int, bytearray]:
         """One execution on the chosen tier, without accounting."""
         stack = bytearray(isa.STACK_SIZE)
         regions = [(STACK_REGION_BASE, stack, "stack"), (CTX_REGION_BASE, ctx_bytes, "ctx")]
-        if packet_bytes is not None:
-            regions.append((PACKET_REGION_BASE, packet_bytes, "packet"))
-        state = VMState(regions, env)
+        state = VMState(regions, env, packet_bytes)
         if native is None:
             native = self._native is not None
         if native:
@@ -519,11 +564,16 @@ class BPFProgram:
         self,
         env: ExecutionEnv,
         ctx_bytes: bytearray,
-        packet_bytes: Optional[bytearray],
+        packet_bytes: Optional[PacketData],
     ) -> ExecResult:
         """Run the compiled tier, then replay on the oracle and compare."""
         ctx_before = bytes(ctx_bytes)
-        packet_before = None if packet_bytes is None else bytes(packet_bytes)
+        if isinstance(packet_bytes, PacketImage):
+            # The oracle gets its own image: it serializes the same
+            # packet only if the oracle run touches the region too.
+            oracle_packet = packet_bytes.fresh()
+        else:
+            oracle_packet = None if packet_bytes is None else bytearray(packet_bytes)
         clones = {fd: bpf_map.clone() for fd, bpf_map in env.maps.items()}
 
         clock_draws: List[int] = []
@@ -576,7 +626,6 @@ class BPFProgram:
             printk_sink=oracle_printks.append,
         )
         oracle_ctx = bytearray(ctx_before)
-        oracle_packet = None if packet_before is None else bytearray(packet_before)
         try:
             ostate, oexecuted, ostack = self._run_once(
                 oracle_env, oracle_ctx, oracle_packet, native=False
@@ -590,8 +639,7 @@ class BPFProgram:
         self._diff("helper_cost_ns", state.helper_cost_ns, ostate.helper_cost_ns)
         self._diff("stack", bytes(stack), bytes(ostack))
         self._diff("ctx", bytes(ctx_bytes), bytes(oracle_ctx))
-        if packet_bytes is not None:
-            self._diff("packet", bytes(packet_bytes), bytes(oracle_packet))
+        self._diff("packet", _packet_snapshot(packet_bytes), _packet_snapshot(oracle_packet))
         self._diff("trace_printk", printk_lines, oracle_printks)
         for fd, bpf_map in env.maps.items():
             if isinstance(bpf_map, PerfEventArray):

@@ -8,16 +8,19 @@ arithmetic lives here where tests can hammer it with hypothesis.
 
 from __future__ import annotations
 
+import struct
+
 
 def ones_complement_sum(data: bytes) -> int:
-    """16-bit one's-complement sum of ``data`` (odd length zero-padded)."""
+    """16-bit one's-complement sum of ``data`` (odd length zero-padded).
+
+    All words are summed first and the carries folded at the end:
+    one's-complement addition is associative, so this equals RFC 1071's
+    fold after every word.
+    """
     if len(data) % 2:
         data = data + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-        total = (total & 0xFFFF) + (total >> 16)
-    # Fold any remaining carry.
+    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return total

@@ -76,6 +76,7 @@ class NetDevice:
     ):
         self.node = node
         self.name = name
+        self.hook_name = f"dev:{name}"
         self.mac = mac if mac is not None else node.next_mac()
         self.ip = ip
         self.mtu = mtu

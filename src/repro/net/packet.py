@@ -41,6 +41,8 @@ TCPOPT_TRACE_ID = 0xFD
 
 _packet_uid_counter = itertools.count(1)
 
+_IPV4_STRUCT = struct.Struct("!BBHHHBBHII")
+
 
 class HeaderError(ValueError):
     """Raised when a header cannot be built or parsed."""
@@ -52,6 +54,7 @@ class EthernetHeader:
     __slots__ = ("dst", "src", "ethertype")
 
     LENGTH = 14
+    length = LENGTH
 
     def __init__(self, dst: MACAddress, src: MACAddress, ethertype: int = ETHERTYPE_IPV4):
         self.dst = MACAddress(dst)
@@ -71,10 +74,6 @@ class EthernetHeader:
             struct.unpack("!H", data[12:14])[0],
         )
 
-    @property
-    def length(self) -> int:
-        return self.LENGTH
-
     def __repr__(self) -> str:
         return f"<Eth {self.src}->{self.dst} type=0x{self.ethertype:04x}>"
 
@@ -85,6 +84,7 @@ class IPv4Header:
     __slots__ = ("src", "dst", "protocol", "ttl", "identification", "total_length", "dscp")
 
     LENGTH = 20
+    length = LENGTH
 
     def __init__(
         self,
@@ -106,8 +106,7 @@ class IPv4Header:
 
     def pack(self) -> bytes:
         version_ihl = (4 << 4) | 5
-        header_wo_csum = struct.pack(
-            "!BBHHHBBH4s4s",
+        header_wo_csum = _IPV4_STRUCT.pack(
             version_ihl,
             self.dscp << 2,
             self.total_length,
@@ -116,11 +115,11 @@ class IPv4Header:
             self.ttl,
             self.protocol,
             0,  # checksum placeholder
-            self.src.to_bytes(),
-            self.dst.to_bytes(),
+            self.src.value,
+            self.dst.value,
         )
         csum = internet_checksum(header_wo_csum)
-        return header_wo_csum[:10] + struct.pack("!H", csum) + header_wo_csum[12:]
+        return header_wo_csum[:10] + csum.to_bytes(2, "big") + header_wo_csum[12:]
 
     @classmethod
     def unpack(cls, data: bytes) -> "IPv4Header":
@@ -150,10 +149,6 @@ class IPv4Header:
             dscp=tos >> 2,
         )
 
-    @property
-    def length(self) -> int:
-        return self.LENGTH
-
     def __repr__(self) -> str:
         return f"<IPv4 {self.src}->{self.dst} proto={self.protocol} ttl={self.ttl}>"
 
@@ -164,6 +159,7 @@ class UDPHeader:
     __slots__ = ("src_port", "dst_port", "udp_length", "checksum")
 
     LENGTH = 8
+    length = LENGTH
 
     def __init__(self, src_port: int, dst_port: int, udp_length: int = 0, checksum: int = 0):
         self.src_port = src_port
@@ -180,10 +176,6 @@ class UDPHeader:
             raise HeaderError("truncated UDP header")
         src_port, dst_port, udp_length, checksum = struct.unpack("!HHHH", data[:8])
         return cls(src_port, dst_port, udp_length, checksum)
-
-    @property
-    def length(self) -> int:
-        return self.LENGTH
 
     def __repr__(self) -> str:
         return f"<UDP {self.src_port}->{self.dst_port} len={self.udp_length}>"
@@ -295,6 +287,7 @@ class VXLANHeader:
     __slots__ = ("vni",)
 
     LENGTH = 8
+    length = LENGTH
 
     def __init__(self, vni: int):
         if not 0 <= vni < (1 << 24):
@@ -312,10 +305,6 @@ class VXLANHeader:
         if not flags & 0x08:
             raise HeaderError("VXLAN I flag not set")
         return cls(vni_field >> 8)
-
-    @property
-    def length(self) -> int:
-        return self.LENGTH
 
     def __repr__(self) -> str:
         return f"<VXLAN vni={self.vni}>"
@@ -384,8 +373,9 @@ class Packet:
     # -- structured accessors ------------------------------------------------
 
     def _find(self, header_type) -> Optional[Header]:
+        # Exact type match: no header class has subclasses.
         for header in self.headers:
-            if isinstance(header, header_type):
+            if type(header) is header_type:
                 return header
         return None
 
@@ -436,7 +426,12 @@ class Packet:
 
     @property
     def total_length(self) -> int:
-        return self.header_length + self.payload_length
+        # header_length + payload_length, inlined: every hop reads it.
+        payload = self.payload
+        length = payload.total_length if isinstance(payload, Packet) else len(payload)
+        for header in self.headers:
+            length += header.length
+        return length
 
     # -- wire image ----------------------------------------------------------
 

@@ -284,9 +284,18 @@ class KernelNode:
 
     # -- hooks ------------------------------------------------------------------
 
+    # Each fire_* method checks for attachments before building a
+    # ProbeEvent: with nothing attached a fire is one counter bump.
+
     def fire_device_hook(self, device: NetDevice, packet: Packet, cpu, direction: str) -> int:
+        hook = device.hook_name
+        hooks = self.hooks
+        if not hooks.attached.get(hook):
+            counts = hooks.fire_counts
+            counts[hook] = counts.get(hook, 0) + 1
+            return 0
         event = ProbeEvent(
-            hook=f"dev:{device.name}",
+            hook=hook,
             node=self.name,
             packet=packet,
             ifindex=device.ifindex,
@@ -294,7 +303,7 @@ class KernelNode:
             cpu=cpu.index if cpu is not None else 0,
             direction=direction,
         )
-        return self.hooks.fire(event)
+        return hooks.fire(event)
 
     def fire_function_hook(
         self,
@@ -304,6 +313,11 @@ class KernelNode:
         device: Optional[NetDevice] = None,
         extra: Optional[dict] = None,
     ) -> int:
+        hooks = self.hooks
+        if not hooks.attached.get(hook):
+            counts = hooks.fire_counts
+            counts[hook] = counts.get(hook, 0) + 1
+            return 0
         event = ProbeEvent(
             hook=hook,
             node=self.name,
@@ -313,9 +327,14 @@ class KernelNode:
             cpu=cpu.index if cpu is not None else 0,
             extra=extra,
         )
-        return self.hooks.fire(event)
+        return hooks.fire(event)
 
     def fire_steering_hook(self, device: NetDevice, packet: Packet, cpu_index: int) -> int:
+        hooks = self.hooks
+        if not hooks.attached.get(HOOK_GET_RPS_CPU):
+            counts = hooks.fire_counts
+            counts[HOOK_GET_RPS_CPU] = counts.get(HOOK_GET_RPS_CPU, 0) + 1
+            return 0
         event = ProbeEvent(
             hook=HOOK_GET_RPS_CPU,
             node=self.name,
@@ -325,7 +344,7 @@ class KernelNode:
             cpu=cpu_index,
             extra={"steered_cpu": cpu_index},
         )
-        return self.hooks.fire(event)
+        return hooks.fire(event)
 
     # -- routing ---------------------------------------------------------------------
 

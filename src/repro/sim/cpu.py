@@ -56,11 +56,16 @@ class CPU:
         Returns False (and drops the job) if the queue is full -- the
         receive-ring-overflow analog.
         """
-        if self.queue_limit is not None and len(self._queue) >= self.queue_limit:
+        queue = self._queue
+        if self.queue_limit is not None and len(queue) >= self.queue_limit:
             self.jobs_dropped += 1
             return False
-        self._queue.append((int(cost_ns), callback, tag))
-        self._maybe_start()
+        if not self._busy and not queue and self._can_run():
+            self._start(int(cost_ns), callback)  # idle: no queue round trip
+        else:
+            queue.append((int(cost_ns), callback, tag))
+            if not self._busy:
+                self._maybe_start()
         return True
 
     def submit_front(
@@ -71,11 +76,16 @@ class CPU:
     ) -> bool:
         """Queue a job ahead of everything waiting (run-to-completion
         continuations within one softirq context use this)."""
-        if self.queue_limit is not None and len(self._queue) >= self.queue_limit:
+        queue = self._queue
+        if self.queue_limit is not None and len(queue) >= self.queue_limit:
             self.jobs_dropped += 1
             return False
-        self._queue.appendleft((int(cost_ns), callback, tag))
-        self._maybe_start()
+        if not self._busy and not queue and self._can_run():
+            self._start(int(cost_ns), callback)
+        else:
+            queue.appendleft((int(cost_ns), callback, tag))
+            if not self._busy:
+                self._maybe_start()
         return True
 
     @property
@@ -89,12 +99,15 @@ class CPU:
     def _can_run(self) -> bool:
         return True
 
+    def _start(self, cost_ns: int, callback: Optional[Callable[[], Any]]) -> None:
+        self._busy = True
+        self.engine.schedule(cost_ns, self._complete, cost_ns, callback)
+
     def _maybe_start(self) -> None:
         if self._busy or not self._queue or not self._can_run():
             return
-        self._busy = True
         cost_ns, callback, _tag = self._queue.popleft()
-        self.engine.schedule(cost_ns, self._complete, cost_ns, callback)
+        self._start(cost_ns, callback)
 
     def _complete(self, cost_ns: int, callback: Optional[Callable[[], Any]]) -> None:
         self._busy = False
@@ -102,8 +115,14 @@ class CPU:
         self.jobs_completed += 1
         if callback is not None:
             callback()
-        self._maybe_start()
-        if not self._busy and not self._queue and self.on_idle is not None:
+        if self._busy:
+            return  # the callback submitted a job and it started
+        queue = self._queue
+        if queue:
+            if self._can_run():
+                cost_ns, callback, _tag = queue.popleft()
+                self._start(cost_ns, callback)
+        elif self.on_idle is not None:
             self.on_idle()
 
     def utilization(self) -> float:

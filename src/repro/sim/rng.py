@@ -8,8 +8,12 @@ consumer to one subsystem never perturbs the draws seen by another.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from typing import Sequence
+
+# The stdlib's normalvariate constant, 4 * exp(-0.5) / sqrt(2).
+_NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
 
 
 class SeededRNG:
@@ -62,10 +66,22 @@ class SeededRNG:
         return max(0, int(self._random.gauss(mean_ns, stddev_ns)))
 
     def lognormal_ns(self, median_ns: float, sigma: float) -> int:
-        """Heavy-ish tail for per-packet kernel service times."""
-        import math
+        """Heavy-ish tail for per-packet kernel service times.
 
-        return max(0, int(self._random.lognormvariate(math.log(median_ns), sigma)))
+        ``random.Random.lognormvariate`` inlined: the same
+        Kinderman-Monahan loop as the stdlib's ``normalvariate``, so it
+        draws the same ``random()`` values in the same order and does
+        the same float operations.  Every stage cost goes through here.
+        """
+        random = self._random.random
+        log = math.log
+        while True:
+            u1 = random()
+            u2 = 1.0 - random()
+            z = _NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -log(u2):
+                break
+        return max(0, int(math.exp(log(median_ns) + z * sigma)))
 
     def pareto_ns(self, scale_ns: float, alpha: float) -> int:
         """Pareto tail; used for rare long interference events."""

@@ -1,6 +1,10 @@
 """Node clocks and deterministic RNG streams."""
 
+import math
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.clock import NodeClock
 from repro.sim.engine import Engine
@@ -98,3 +102,33 @@ class TestSeededRNG:
         rng = SeededRNG(5)
         samples = [rng.lognormal_ns(1000, 0.05) for _ in range(500)]
         assert 950 < sorted(samples)[250] < 1050
+
+
+class TestLognormalMatchesStdlib:
+    """``lognormal_ns`` inlines ``random.Random.lognormvariate``; it must
+    return what the stdlib returns and leave the stream where the stdlib
+    leaves it, or every simulated stage cost would change."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        median_ns=st.floats(min_value=0.5, max_value=5e6),
+        sigma=st.floats(min_value=0.001, max_value=3.0),
+    )
+    def test_same_values_and_stream_as_lognormvariate(self, seed, median_ns, sigma):
+        rng = SeededRNG(seed, "noise")
+        reference = random.Random()
+        reference.setstate(rng._random.getstate())
+        for _ in range(40):
+            expected = max(0, int(reference.lognormvariate(math.log(median_ns), sigma)))
+            assert rng.lognormal_ns(median_ns, sigma) == expected
+        assert rng.random() == reference.random()
+
+    def test_stage_cost_shapes(self):
+        # The integer medians and sigma the cost model actually uses.
+        rng = SeededRNG(11, "node/host0")
+        reference = random.Random()
+        reference.setstate(rng._random.getstate())
+        for median_ns in (250, 900, 1500, 4000, 12000) * 40:
+            expected = max(0, int(reference.lognormvariate(math.log(median_ns), 0.08)))
+            assert rng.lognormal_ns(median_ns, 0.08) == expected
