@@ -17,6 +17,9 @@ Query-side indexes are lazy and insert-invalidated:
 * per trace ID, the timestamp-sorted materialized rows
   (:meth:`rows_for_trace`), cached so span reconstruction never re-sorts
   an unchanged trace;
+* per trace ID, the group-by row tuples (:meth:`trace_group`), checked
+  against the trace's row count on read instead of invalidated on
+  insert;
 * per table, the first row position per trace ID, maintained
   incrementally at append time (:meth:`trace_ids_at` /
   :meth:`first_ts_at`), and per trace, the set of labels it was seen at
@@ -160,6 +163,9 @@ class TraceDB:
         # the set of labels each trace was observed at.
         self._trace_refs: Dict[int, List[Tuple[_ColumnTable, int]]] = {}
         self._trace_rows: Dict[int, List[TraceRow]] = {}
+        # trace_id -> (row count, group-by rows); read-side only, valid
+        # while the trace's row count is unchanged (see trace_group).
+        self._trace_groups: Dict[int, Tuple[int, list]] = {}
         self._trace_labels: Dict[int, set] = {}
         self._skew_ns: Dict[str, int] = {}  # node -> (master - node) offset
         self.rows_inserted = 0
@@ -456,6 +462,23 @@ class TraceDB:
             rows.sort()
             groups.append((trace_id, rows))
         return groups
+
+    def trace_group(self, trace_id: int) -> List[Tuple[int, int, str, str, int, int]]:
+        """One trace's :meth:`trace_group_rows` group, cached.
+
+        Rows are append-only and aligned at ingest, so a cached group
+        stays exact while the trace's row count is unchanged; the check
+        happens here, on read, and ingest does no extra work.  Callers
+        must not mutate the returned list."""
+        refs = self._trace_refs.get(trace_id)
+        if not refs:
+            return []
+        cached = self._trace_groups.get(trace_id)
+        if cached is not None and cached[0] == len(refs):
+            return cached[1]
+        ((_, rows),) = self.trace_group_rows((trace_id,), snapshot=False)
+        self._trace_groups[trace_id] = (len(refs), rows)
+        return rows
 
     def record_count_for_trace(self, trace_id: int) -> int:
         """How many rows a trace has, without materializing them (the

@@ -140,13 +140,18 @@ def _fast_value(value) -> str:
 _ESCAPE_CACHE: Dict[str, str] = {}
 
 # (attribute keyset in insertion order, span kind, attribute values in
-# insertion order) -> rendered '{"args":{...},"cat":...' event prefix.
-# Attribute payloads repeat heavily (every hop span of a flow carries
-# the same cpu, every wire span the same endpoint pair), so most events
-# reduce to one lookup plus the five per-span tail fields.  Bounded
-# (cleared on overflow) because high-cardinality values -- trace IDs in
-# packet roots -- would otherwise grow it without limit.
+# insertion order, their types) -> rendered '{"args":{...},"cat":...'
+# event prefix.  The types are part of the key because ``1``, ``1.0``
+# and ``True`` hash and compare alike but render as ``1``, ``1.0`` and
+# ``true``; only all-scalar payloads are stored, since a container
+# value's type says nothing about its elements.  Attribute payloads
+# repeat heavily (every hop span of a flow carries the same cpu, every
+# wire span the same endpoint pair), so most events reduce to one
+# lookup plus the five per-span tail fields.  Bounded (cleared on
+# overflow) because high-cardinality values -- trace IDs in packet
+# roots -- would otherwise grow it without limit.
 _EVENT_PREFIXES: Dict[tuple, str] = {}
+_PREFIX_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 # Span durations repeat across traces of the same flow shape (a hop's
 # latency profile is narrow) while timestamps never do, so duration
@@ -191,14 +196,11 @@ def _chrome_process_fast(root: Span, pid: int, label: str, out: List[str]) -> No
             tid = tids[node] = len(tids)
             tails.append(',"ph":"X","pid":%d,"tid":%d,"ts":' % (pid, tid))
         attributes = span.attributes
-        # dict views iterate in insertion order, so keys + values + kind
-        # pin down the rendered prefix exactly.
+        # dict views iterate in insertion order, so keys + values (with
+        # their types) + kind pin down the rendered prefix exactly.
+        values = tuple(attributes.values())
         try:
-            prefix_key = (
-                tuple(attributes),
-                span.kind,
-                tuple(attributes.values()),
-            )
+            prefix_key = (tuple(attributes), span.kind, values, tuple(map(type, values)))
             prefix = prefixes.get(prefix_key)
         except TypeError:  # unhashable attribute value (list, dict)
             prefix_key = None
@@ -213,7 +215,7 @@ def _chrome_process_fast(root: Span, pid: int, label: str, out: List[str]) -> No
                 + '},"cat":'
                 + _escape_cached(span.kind)
             )
-            if prefix_key is not None:
+            if prefix_key is not None and _PREFIX_SCALARS.issuperset(prefix_key[3]):
                 if len(prefixes) > (1 << 15):
                     prefixes.clear()
                 prefixes[prefix_key] = prefix
@@ -250,6 +252,26 @@ def _chrome_process_fast(root: Span, pid: int, label: str, out: List[str]) -> No
         )
 
 
+def _chrome_tree_track(tree: SpanTree, pid: int) -> str:
+    """One tree's process track as a comma-joined JSON fragment.
+
+    Trees the assembler built (``_span_count`` stamped) are never
+    mutated after assembly, so their fragment is memoized on the tree
+    together with the pid it was rendered for; a tree that keeps its
+    place in the forest is not re-serialized.  Hand-built trees always
+    render fresh."""
+    memo = tree._chrome_track
+    if memo is not None and memo[0] == pid:
+        return memo[1]
+    noun = "request" if tree.root.kind == "rpc" else "packet"
+    events: List[str] = []
+    _chrome_process_fast(tree.root, pid, f"{noun} 0x{tree.trace_id:08x}", events)
+    track = ",".join(events)
+    if tree._span_count is not None:
+        tree._chrome_track = (pid, track)
+    return track
+
+
 def chrome_trace_json(forest: SpanForest) -> str:
     """Canonical (byte-stable) serialization of :func:`chrome_trace_dict`.
 
@@ -257,15 +279,14 @@ def chrome_trace_json(forest: SpanForest) -> str:
     intermediate event dicts -- but byte-identical to
     ``json.dumps(chrome_trace_dict(forest), sort_keys=True,
     separators=(",", ":")) + "\\n"``; the differential suite
-    (tests/test_tracing_batch.py) diffs the two on every scenario."""
+    (tests/test_tracing_batch.py) diffs the two on every scenario.
+    Assembled trees reuse their memoized track (see
+    :func:`_chrome_tree_track`), so re-exporting a forest after a
+    collect serializes only the trees that changed or moved."""
     events: List[str] = []
     if forest.control_root is not None:
         _chrome_process_fast(forest.control_root, 0, "control-plane", events)
-    for index, tree in enumerate(forest.trees, start=1):
-        noun = "request" if tree.root.kind == "rpc" else "packet"
-        _chrome_process_fast(
-            tree.root, index, f"{noun} 0x{tree.trace_id:08x}", events
-        )
+    events.extend(_chrome_tree_track(tree, pid) for pid, tree in enumerate(forest.trees, start=1))
     return (
         '{"displayTimeUnit":"ns","otherData":{"generator":"repro.tracing",'
         '"orphan_records":%d,"trees":%d},"traceEvents":[%s]}\n'

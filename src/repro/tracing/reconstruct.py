@@ -29,7 +29,10 @@ Two implementations of that algorithm live here (docs/TIMELINES.md,
   ``TraceDB.trace_group_rows``, the columnar group-by kernel that
   buckets every requested trace's rows as plain sorted tuples (no
   ``TraceRow`` objects), then bulk-builds each tree with a validated
-  fast-path ``Span`` constructor.  Full-database assemblies are
+  fast-path ``Span`` constructor.  Assembly is incremental: trees are
+  memoized per trace while the trace's row count is unchanged, so a
+  rebuild after a ``collect()`` reassembles only the traces (and RPC
+  request trees) that gained rows, and full-database assemblies are
   memoized keyed on ``TraceDB.generation``: repeated
   ``span_forest()`` / ``rpc_forest()`` calls on an unchanged database
   are O(1) cache hits.
@@ -46,6 +49,7 @@ keep; see :func:`build_control_root`.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.tracedb import TraceDB, TraceRow
@@ -474,13 +478,26 @@ class SpanAssembler:
 
     Assembly runs the columnar batch pipeline: one
     ``TraceDB.trace_group_rows`` group-by over the live columns, one
-    :func:`_assemble_tree` per trace group.  Full-database forests
-    (``trace_ids=None``) and RPC forests are memoized keyed on
-    ``TraceDB.generation`` plus the request shape (chain,
-    completeness filter, links signature); any database mutation bumps
-    the generation and invalidates the whole memo.  Cache hits return a
-    fresh :class:`SpanForest` sharing the immutable trees -- they count
-    as ``forest_cache_hits``, not as trees built (nothing was built).
+    :func:`_assemble_tree` per trace group.  It is incremental at two
+    levels (docs/TIMELINES.md, "Incremental assembly"):
+
+    * a per-trace memo keeps every tree built for the current chain
+      filter and clock offsets.  Rows are append-only and aligned at
+      ingest, so a memoized tree stays exact while its trace's row count
+      is unchanged; only traces that gained rows are reassembled.
+      :meth:`forest` and :meth:`rpc_forest` fill it (the latter also
+      reuses unchanged request wrappers); :meth:`tree` only reads it.
+    * full-database forests (``trace_ids=None``) and RPC forests are
+      memoized keyed on ``TraceDB.generation`` plus the request shape
+      (chain, completeness filter, links signature); any database
+      mutation bumps the generation and invalidates that memo.  Hits
+      return a fresh :class:`SpanForest` sharing the immutable trees --
+      they count as ``forest_cache_hits``, not as trees built.
+
+    Counters stay per request, whatever the memo served: every tree in
+    a rebuilt forest counts in ``trees_built`` (and its spans in
+    ``spans_built``); ``trees_reused`` says how many of those came from
+    the per-trace memo instead of being reassembled.
 
     When a registry is supplied the assembler registers and drives the
     ``tracing`` stage of the metrics contract: trees built, spans
@@ -490,11 +507,8 @@ class SpanAssembler:
 
     def __init__(self, db: TraceDB, registry: Optional[MetricsRegistry] = None):
         self.db = db
-        # Oracle mode: a database without the columnar group-by kernel
-        # (e.g. the legacy row store the PR 5 differential suite keeps)
-        # assembles through the per-row reference path instead.
-        self._batch = hasattr(db, "trace_group_rows")
         self.trees_built = 0
+        self.trees_reused = 0
         self.spans_built = 0
         self.orphan_records = 0
         self.forest_rebuilds = 0
@@ -504,6 +518,18 @@ class SpanAssembler:
         # self._cache_generation == db.generation.
         self._cache: Dict[tuple, Tuple[Tuple[SpanTree, ...], int]] = {}
         self._cache_generation: Optional[int] = None
+        # trace_id -> (row count, tree or None), for the chain filter and
+        # clock offsets it was filled under.
+        self._trees: Dict[int, Tuple[int, Optional[SpanTree]]] = {}
+        self._trees_chain: Optional[frozenset] = None
+        self._trees_offsets: Dict[str, int] = {}
+        # trace_id -> (row count, parent, kids, kid results, packet tree,
+        # result): the inputs an rpc wrapper was built from, and it; plus
+        # the parent links of the last RPC build and the traces whose
+        # packet tree was reassembled since then.
+        self._wrappers: Dict[int, tuple] = {}
+        self._wrapper_parents: Dict[int, int] = {}
+        self._refreshed: set = set()
         self._m_trees = self._m_spans = self._m_orphans = self._m_anomalies = None
         self._m_rebuilds = self._m_hits = self._m_groups = None
         if registry is not None:
@@ -524,8 +550,8 @@ class SpanAssembler:
     # -- memo cache ----------------------------------------------------------
 
     def _cache_get(self, key: Optional[tuple]):
-        generation = getattr(self.db, "generation", None)
-        if key is None or generation is None or self._cache_generation != generation:
+        generation = self.db.generation
+        if key is None or self._cache_generation != generation:
             return None
         entry = self._cache.get(key)
         if entry is None:
@@ -536,8 +562,8 @@ class SpanAssembler:
         return entry
 
     def _cache_put(self, key: Optional[tuple], trees: Sequence[SpanTree], orphans: int) -> None:
-        generation = getattr(self.db, "generation", None)
-        if key is None or generation is None:
+        generation = self.db.generation
+        if key is None:
             return
         if self._cache_generation != generation:
             self._cache.clear()
@@ -554,12 +580,10 @@ class SpanAssembler:
         if self._m_rebuilds is not None:
             self._m_rebuilds.inc()
 
-    def _count_trees(self, trees: Sequence[SpanTree], orphans: int) -> None:
-        spans = sum(
-            tree._span_count if tree._span_count is not None else len(tree.spans())
-            for tree in trees
-        )
+    def _count_trees(self, trees: Sequence[SpanTree], orphans: int, reused: int) -> None:
+        spans = sum(tree._span_count for tree in trees)
         self.trees_built += len(trees)
+        self.trees_reused += reused
         self.spans_built += spans
         self.orphan_records += orphans
         if self._m_trees is not None and trees:
@@ -568,29 +592,97 @@ class SpanAssembler:
         if self._m_orphans is not None and orphans:
             self._m_orphans.inc(orphans)
 
+    # -- per-trace memo ------------------------------------------------------
+
+    def _memo(
+        self, chain: Optional[Sequence[str]]
+    ) -> Optional[Dict[int, Tuple[int, Optional[SpanTree]]]]:
+        """The per-trace memo (``trace_id -> (row count, tree or None)``)
+        if it was filled under ``chain`` and the database's current clock
+        offsets (device spans stamp the offset at assembly), else ``None``."""
+        chain_key = None if chain is None else frozenset(chain)
+        if chain_key == self._trees_chain and self.db.clock_offsets() == self._trees_offsets:
+            return self._trees
+        return None
+
+    def _assemble(
+        self, trace_ids: Sequence[int], chain: Optional[Sequence[str]]
+    ) -> List[Tuple[int, Tuple[int, Optional[SpanTree]]]]:
+        """``(trace_id, (row count, tree or None))`` per trace, assembled
+        from the live columns."""
+        db = self.db
+        # Snapshotting columns costs O(table) once; worth it unless only
+        # a handful of traces are assembled.
+        groups = db.trace_group_rows(trace_ids, snapshot=len(trace_ids) > 32)
+        wanted = None if chain is None else set(chain)
+        if wanted is not None and wanted.issuperset(db.tables()):
+            wanted = None  # chain covers every label: filter is a no-op
+        clock_skew = db.clock_skew
+        built = []
+        for trace_id, rows in groups:
+            rows_seen = len(rows)
+            if wanted is not None:
+                rows = [row for row in rows if row[3] in wanted]
+            built.append((trace_id, (rows_seen, _assemble_tree(trace_id, rows, clock_skew))))
+        return built
+
+    def _refresh(
+        self, trace_ids: Iterable[int], chain: Optional[Sequence[str]]
+    ) -> Tuple[Dict[int, Tuple[int, Optional[SpanTree]]], int]:
+        """Bring the per-trace memo up to date for ``trace_ids`` and
+        return it with the number of those traces whose tree it already
+        held.  Only traces whose row count changed since the memo saw
+        them are reassembled; the whole memo is dropped first if it was
+        filled under another chain filter or other clock offsets."""
+        memo = self._memo(chain)
+        if memo is None:
+            memo = self._trees
+            memo.clear()
+            self._wrappers.clear()
+            self._refreshed.clear()
+            self._trees_chain = None if chain is None else frozenset(chain)
+            self._trees_offsets = self.db.clock_offsets()
+        count = self.db.record_count_for_trace
+        stale = []
+        reused = 0
+        for trace_id in trace_ids:
+            entry = memo.get(trace_id)
+            if entry is None or entry[0] != count(trace_id):
+                stale.append(trace_id)
+            elif entry[1] is not None:
+                reused += 1
+        if stale:
+            memo.update(self._assemble(stale, chain))
+            if self._wrappers:
+                self._refreshed.update(stale)
+        return memo, reused
+
     # -- assembly ------------------------------------------------------------
 
     def tree(
         self, trace_id: int, chain: Optional[Sequence[str]] = None
     ) -> Optional[SpanTree]:
-        """One packet's tree (counted like a one-tree forest).  Single
-        lookups index the live columns directly (no snapshot pass)."""
-        if self._batch:
-            ((_, rows),) = self.db.trace_group_rows([trace_id], snapshot=False)
-            if chain is not None:
-                wanted = set(chain)
-                rows = [row for row in rows if row[3] in wanted]
-            self._note_groups(1)
-            tree = _assemble_tree(trace_id, rows, self.db.clock_skew)
-        else:  # oracle mode (row-store database)
-            tree = build_span_tree(self.db, trace_id, chain=chain)
+        """One packet's tree (counted like a one-tree forest).  Served
+        from the per-trace memo when a forest left it current there;
+        otherwise assembled from the live columns (no snapshot pass) and
+        not memoized, so a point lookup keeps no state."""
+        entry = self._trees.get(trace_id)
+        reused = (
+            entry is not None
+            and entry[0] == self.db.record_count_for_trace(trace_id)
+            and self._memo(chain) is not None
+        )
+        if not reused:
+            ((_, entry),) = self._assemble((trace_id,), chain)
+        tree = entry[1]
+        self._note_groups(1)
         if tree is None:
             orphaned = self.db.record_count_for_trace(trace_id)
             self.orphan_records += orphaned
             if self._m_orphans is not None and orphaned:
                 self._m_orphans.inc(orphaned)
             return None
-        self._count_trees((tree,), 0)
+        self._count_trees((tree,), 0, int(reused))
         return tree
 
     def forest(
@@ -606,7 +698,8 @@ class SpanAssembler:
         (the §III-C data-cleaning step) and counted as orphans.
 
         Default (full-database) requests are memoized per generation;
-        explicit ``trace_ids`` requests always assemble."""
+        explicit ``trace_ids`` requests always assemble (from the
+        per-trace memo where it is still valid)."""
         filtering = complete_only and chain is not None
         key = None
         if trace_ids is None:
@@ -619,48 +712,32 @@ class SpanAssembler:
                     orphan_records=orphans,
                     control_root=control_root,
                 )
-        if not self._batch:  # oracle mode (row-store database)
-            forest = legacy_forest(
-                self.db, trace_ids, chain, complete_only, control_root
-            )
-            self._note_rebuild()
-            self._count_trees(forest.trees, forest.orphan_records)
-            self._cache_put(key, forest.trees, forest.orphan_records)
-            return forest
-        ids = self.db.trace_ids() if trace_ids is None else list(trace_ids)
+        db = self.db
+        ids = db.trace_ids() if trace_ids is None else list(trace_ids)
+        count = db.record_count_for_trace
         orphans = 0
         if filtering:
-            complete = set(self.db.complete_traces(chain))
+            complete = set(db.complete_traces(chain))
             wanted_ids = []
             for trace_id in ids:
                 if trace_id in complete:
                     wanted_ids.append(trace_id)
                 else:
-                    orphans += self.db.record_count_for_trace(trace_id)
+                    orphans += count(trace_id)
         else:
             wanted_ids = ids
-        wanted = None if chain is None else set(chain)
-        if wanted is not None and wanted.issuperset(self.db.tables()):
-            wanted = None  # chain covers every label: filter is a no-op
-        clock_skew = self.db.clock_skew
-        # Snapshotting columns costs O(table) once; worth it unless the
-        # request touches only a handful of traces.
-        groups = self.db.trace_group_rows(
-            wanted_ids, snapshot=trace_ids is None or len(wanted_ids) > 32
-        )
+        memo, reused = self._refresh(wanted_ids, chain)
         trees: List[SpanTree] = []
-        for trace_id, rows in groups:
-            if wanted is not None:
-                rows = [row for row in rows if row[3] in wanted]
-            tree = _assemble_tree(trace_id, rows, clock_skew)
+        for trace_id in wanted_ids:
+            tree = memo[trace_id][1]
             if tree is None:
-                orphans += self.db.record_count_for_trace(trace_id)
+                orphans += count(trace_id)
                 continue
             trees.append(tree)
             orphans += tree.duplicate_records
         self._note_rebuild()
-        self._note_groups(len(groups))
-        self._count_trees(trees, orphans)
+        self._note_groups(len(wanted_ids))
+        self._count_trees(trees, orphans, reused)
         self._cache_put(key, trees, orphans)
         return SpanForest(
             trees=trees, orphan_records=orphans, control_root=control_root
@@ -685,16 +762,10 @@ class SpanAssembler:
         if cached is not None:
             trees, orphans = cached
             return SpanForest(trees=list(trees), orphan_records=orphans)
-        if not self._batch:  # oracle mode (row-store database)
-            forest = build_rpc_forest(self.db, links, chain=chain)
-            self._note_rebuild()
-            self._count_trees(forest.trees, 0)
-            self._cache_put(key, forest.trees, 0)
-            return forest
-        trees, groups = self._build_rpc_trees(links, chain)
+        trees, groups, reused = self._build_rpc_trees(links, chain)
         self._note_rebuild()
         self._note_groups(groups)
-        self._count_trees(trees, 0)
+        self._count_trees(trees, 0, reused)
         self._cache_put(key, trees, 0)
         return SpanForest(trees=list(trees))
 
@@ -702,96 +773,122 @@ class SpanAssembler:
         self,
         links: Mapping[int, Tuple[int, ...]],
         chain: Optional[Sequence[str]],
-    ) -> Tuple[List[SpanTree], int]:
-        """Mirror of :func:`build_rpc_forest` over kernel row groups:
-        one columnar group-by for the whole database, then the same
-        parent/child recursion without re-materializing rows per trace."""
+    ) -> Tuple[List[SpanTree], int, int]:
+        """Mirror of :func:`build_rpc_forest` over kernel row groups,
+        rebuilding only the request trees that changed.
+
+        Packet trees come from the per-trace memo.  A trace's ``rpc``
+        wrapper -- and its :class:`SpanTree` -- is reused when its row
+        count, parent, ordered kid list, packet tree and every kid's
+        result (by identity) are unchanged.  Only *dirty* traces are
+        checked: those whose packet tree was reassembled since the last
+        RPC build, both ends of every link that appeared, moved or
+        vanished since then, and their ancestors.  A clean trace with a
+        memoized wrapper is taken whole, subtree included, without
+        descending; a dirty one the walk does not reach loses its entry,
+        so every entry left is current as of this build.  Returns
+        ``(root trees, traces in the forest, root trees reused)``."""
         db = self.db
         parent_of = {child: parents[0] for child, parents in links.items() if parents}
         observed = db.trace_ids()
         known = set(observed)
-        groups = dict(db.trace_group_rows())
+        packets, _ = self._refresh(observed, chain)
+        memo = self._wrappers
+
+        seeds = self._refreshed
+        for child, parent in parent_of.items() ^ self._wrapper_parents.items():
+            seeds.add(child)
+            seeds.add(parent)
+        dirty = set()
+        for tid in seeds:
+            while tid is not None and tid not in dirty:
+                dirty.add(tid)
+                tid = parent_of.get(tid)
+        seeds.clear()
+        self._wrapper_parents = parent_of
+
         children: Dict[int, List[int]] = {}
         for child, parent in parent_of.items():
             if child in known:
                 children.setdefault(parent, []).append(child)
+        group = db.trace_group
+        checked = set()
+        built = set()
 
-        def first_ts(tid: int) -> int:
-            rows = groups.get(tid)
-            return rows[0][0] if rows else 0
-
-        for kids in children.values():
-            kids.sort(key=lambda tid: (first_ts(tid), tid))
-
-        wanted = None if chain is None else set(chain)
-        clock_skew = db.clock_skew
-        visited = set()
-
-        def assemble(tid: int) -> Optional[Tuple[Span, int, int]]:
-            if tid in visited:
-                return None
-            visited.add(tid)
-            rows = groups.get(tid, [])
-            packet_rows = (
-                rows if wanted is None else [row for row in rows if row[3] in wanted]
-            )
-            packet_tree = _assemble_tree(tid, packet_rows, clock_skew)
-            child_spans: List[Span] = []
-            records = len(rows)
+        def assemble(tid: int) -> Tuple[Span, int, int, SpanTree, int]:
+            """(wrapper span, records, spans, tree, traces) for ``tid``.
+            Every trace reached from a root is observed (it has rows)
+            and has exactly one parent, so no trace is reached twice."""
+            entry = memo.get(tid)
+            if entry is not None and tid not in dirty:
+                return entry[5]
+            checked.add(tid)
+            kids = children.get(tid)
+            if kids:
+                kids.sort(key=lambda kid: (group(kid)[0][0], kid))
+                kids = tuple(kids)
+                results = tuple([assemble(kid) for kid in kids])
+            else:
+                kids = results = ()
+            rows_seen, packet_tree = packets[tid]
+            parent = parent_of.get(tid, 0)
+            if (
+                entry is not None
+                and entry[0] == rows_seen
+                and entry[4] is packet_tree
+                and entry[1] == parent
+                and entry[2] == kids
+                and all(map(operator.is_, entry[3], results))
+            ):
+                return entry[5]
+            built.add(tid)
+            rows = group(tid)
+            # Sorted: the first/last row bound the observations.
+            start = rows[0][0]
+            end = rows[-1][0]
+            records = rows_seen
             spans = 1  # this rpc wrapper
-            for kid in children.get(tid, ()):
-                built = assemble(kid)
-                if built is not None:
-                    child_spans.append(built[0])
-                    records += built[1]
-                    spans += built[2]
-            start = end = None
-            if rows:  # sorted: first/last row bound the observations
-                start = rows[0][0]
-                end = rows[-1][0]
-            for span in child_spans:
-                if start is None or span.start_ns < start:
-                    start = span.start_ns
-                if end is None or span.end_ns > end:
-                    end = span.end_ns
+            traces = 1
+            for kid_span, kid_records, kid_spans, _, kid_traces in results:
+                records += kid_records
+                spans += kid_spans
+                traces += kid_traces
+                start = min(start, kid_span.start_ns)
+                end = max(end, kid_span.end_ns)
             if packet_tree is not None:
-                root = packet_tree.root
-                if start is None or root.start_ns < start:
-                    start = root.start_ns
-                if end is None or root.end_ns > end:
-                    end = root.end_ns
-            if start is None:
-                return None
+                start = min(start, packet_tree.root.start_ns)
+                end = max(end, packet_tree.root.end_ns)
+                spans += packet_tree._span_count
             span = _make_span(
                 f"rpc:0x{tid:08x}",
                 "rpc",
-                rows[0][2] if rows else "",
+                rows[0][2],
                 start,
                 end,
-                {
-                    "trace_id": tid,
-                    "parent_id": parent_of.get(tid, 0),
-                    "rpc_children": len(child_spans),
-                },
+                {"trace_id": tid, "parent_id": parent, "rpc_children": len(results)},
             )
             if packet_tree is not None:
                 span.children.append(packet_tree.root)
-                spans += packet_tree._span_count
-            span.children.extend(child_spans)
-            return span, records, spans
+            span.children.extend(result[0] for result in results)
+            tree = SpanTree(trace_id=tid, root=span, record_count=records)
+            tree._span_count = spans
+            result = (span, records, spans, tree, traces)
+            memo[tid] = (rows_seen, parent, kids, results, packet_tree, result)
+            return result
 
         trees: List[SpanTree] = []
+        traces = 0
+        reused = 0
         for tid in observed:
             if parent_of.get(tid) in known:
                 continue  # placed under its parent's tree
-            built = assemble(tid)
-            if built is None:
-                continue
-            span, records, spans = built
-            tree = SpanTree(trace_id=tid, root=span, record_count=records)
-            tree._span_count = spans
-            trees.append(tree)
-        return trees, len(visited)
+            result = assemble(tid)
+            trees.append(result[3])
+            traces += result[4]
+            reused += tid not in built
+        for tid in dirty - checked:
+            memo.pop(tid, None)  # unreachable now; its inputs may change unseen
+        return trees, traces, reused
 
     def anomalies(self, forest: SpanForest, factor: float = 3.0):
         """Anomalous spans (see :func:`repro.tracing.critical.flag_anomalies`),

@@ -103,6 +103,9 @@ class SpanTree:
     # never re-walk trees.  ``None`` (hand-built trees) falls back to a
     # walk; stays valid because trees are never mutated after assembly.
     _span_count = None
+    # (pid, Chrome process-track fragment) memo, filled by
+    # ``chrome_trace_json`` for assembler-built trees only.
+    _chrome_track = None
 
     @property
     def start_ns(self) -> int:

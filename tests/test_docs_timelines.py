@@ -79,6 +79,7 @@ def test_assembler_counters_table_matches_attributes():
     ]
     assert documented == [
         "trees_built",
+        "trees_reused",
         "spans_built",
         "orphan_records",
         "forest_rebuilds",

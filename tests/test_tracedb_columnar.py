@@ -35,7 +35,7 @@ from repro.core import metrics
 from repro.core.records import RECORD_STRUCT, TraceRecord
 from repro.core.tracedb import TraceDB, TraceRow
 from repro.tracing.export import chrome_trace_json, otlp_json
-from repro.tracing.reconstruct import SpanAssembler
+from repro.tracing.reconstruct import SpanAssembler, legacy_forest
 from repro.workloads.stats import LatencySummary, summarize_latencies
 
 # ---------------------------------------------------------------------------
@@ -367,7 +367,7 @@ def assert_exports_equivalent(db: TraceDB, legacy: LegacyTraceDB, chain: Sequenc
     assert segments_new == segments_old
     assert decomposition_table(segments_new) == decomposition_table(segments_old)
     forest_new = SpanAssembler(db).forest(chain=chain)
-    forest_old = SpanAssembler(legacy).forest(chain=chain)
+    forest_old = legacy_forest(legacy, None, chain, complete_only=False)
     assert chrome_trace_json(forest_new) == chrome_trace_json(forest_old)
     assert otlp_json(forest_new) == otlp_json(forest_old)
 
